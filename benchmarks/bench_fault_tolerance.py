@@ -175,7 +175,8 @@ class TestTransientPinExpiry:
         """The gap Birrell left open: a receiver that never
         acknowledges a copy pins the sender's transient entry forever.
         Our transient_ttl extension bounds the leak; measured: time
-        from loss to reclamation."""
+        from loss to reclamation.  Protocol v6: a v7 receiver registers
+        through the ack itself, so expiry enrolls it instead."""
         from repro.wire import protocol
 
         gc_config = GcConfig(transient_ttl=0.2,
@@ -187,9 +188,11 @@ class TestTransientPinExpiry:
                 drop_tags=frozenset({protocol.COPY_ACK}), seed=5,
             ))
             server = Space("owner", listen=["sim://owner"],
-                           transports=[transport], gc=gc_config)
+                           transports=[transport], gc=gc_config,
+                           protocol_version=6)
             client = Space("client", listen=["sim://client"],
-                           transports=[transport], gc=gc_config)
+                           transports=[transport], gc=gc_config,
+                           protocol_version=6)
             try:
                 vault_impl = Vault()
                 server.serve("vault", vault_impl)

@@ -195,9 +195,12 @@ class TestRuntimeAgreement:
     @pytest.mark.benchmark(group="E4-gc-messages")
     def test_real_runtime_matches_model(self, benchmark, report):
         """The *actual* runtime (threads + sockets) sends exactly the
-        message counts the abstract machine predicts for one
-        import/drop cycle: 1 dirty, 1 dirty_ack, 1 copy_ack, 1 clean,
-        1 clean_ack on the wire."""
+        message counts the models predict for one import/drop cycle.
+        Owner→client (protocol v7, the repaired owner optimisation of
+        ``model.variants.owner_opt``): 1 copy_ack — which registers the
+        client — 1 clean, 1 clean_ack.  Third party (a relay hands on
+        the owner's object: the base protocol): 1 dirty, 1 dirty_ack,
+        1 copy_ack, 1 clean, 1 clean_ack."""
         import gc as pygc
         import time
 
@@ -210,52 +213,87 @@ class TestRuntimeAgreement:
             def make(self):
                 return Token()
 
+        class Relay(NetObj):
+            def __init__(self):
+                self.held = None
+
+            def fetch(self):
+                return self.held
+
         class Token(NetObj):
             def poke(self):
                 return True
+
+        def drop_and_count(transport, client, token):
+            assert token.poke()
+            del token
+            pygc.collect()
+            client.cleanup_daemon.wait_idle()
+            deadline = time.time() + 5
+            while time.time() < deadline:
+                if transport.stats.by_tag.get(protocol.CLEAN_ACK, 0) >= 1:
+                    break
+                time.sleep(0.01)
+            return dict(transport.stats.by_tag)
 
         def run():
             transport = SimTransport(NetworkModel(latency=0.0001))
             server = Space("owner", listen=["sim://owner"],
                            transports=[transport])
+            relay_space = Space("relay", listen=["sim://relay"],
+                                transports=[transport])
             client = Space("client", listen=["sim://client"],
                            transports=[transport])
             try:
                 server.serve("maker", Maker())
-                # Hold the agent surrogate explicitly so its own clean
-                # call does not land inside the measurement window.
+                relay = Relay()
+                relay_space.serve("relay", relay)
+                # Hold the agent surrogates explicitly so their own
+                # clean calls do not land inside the measurement window.
                 agent = client.import_object("sim://owner")
                 maker = agent.get("maker")
+                relay_agent = client.import_object("sim://relay")
+                relay_at_client = relay_agent.get("relay")
+                owner_agent_at_relay = relay_space.import_object(
+                    "sim://owner")
+                maker_at_relay = owner_agent_at_relay.get("maker")
+                relay.held = maker_at_relay.make()
                 transport.network.reset_stats()  # ignore bootstrap
-                token = maker.make()
-                assert token.poke()
-                del token
-                pygc.collect()
-                client.cleanup_daemon.wait_idle()
-                deadline = time.time() + 5
-                while time.time() < deadline:
-                    tags = transport.stats.by_tag
-                    if tags.get(protocol.CLEAN_ACK, 0) >= 1:
-                        break
-                    time.sleep(0.01)
+                owner_sent = drop_and_count(transport, client, maker.make())
+                transport.network.reset_stats()
+                third_party = drop_and_count(
+                    transport, client, relay_at_client.fetch())
                 assert agent is not None and maker is not None
-                return dict(transport.stats.by_tag)
+                assert relay_agent is not None
+                assert maker_at_relay is not None
+                return owner_sent, third_party
             finally:
                 client.shutdown()
+                relay_space.shutdown()
                 server.shutdown()
                 transport.shutdown()
 
-        tags = benchmark.pedantic(run, rounds=1, iterations=1)
-        gc_counts = {
-            "dirty": tags.get(protocol.DIRTY, 0),
-            "dirty_ack": tags.get(protocol.DIRTY_ACK, 0),
-            "copy_ack": tags.get(protocol.COPY_ACK, 0),
-            "clean": tags.get(protocol.CLEAN, 0),
-            "clean_ack": tags.get(protocol.CLEAN_ACK, 0),
-        }
+        def gc_counts(tags):
+            return {
+                "dirty": tags.get(protocol.DIRTY, 0),
+                "dirty_ack": tags.get(protocol.DIRTY_ACK, 0),
+                "copy_ack": tags.get(protocol.COPY_ACK, 0),
+                "clean": tags.get(protocol.CLEAN, 0),
+                "clean_ack": tags.get(protocol.CLEAN_ACK, 0),
+            }
+
+        owner_sent, third_party = benchmark.pedantic(
+            run, rounds=1, iterations=1)
+        owner_sent, third_party = gc_counts(owner_sent), gc_counts(
+            third_party)
         report("E4 GC messages",
-               f"runtime-on-the-wire (one cycle): {gc_counts}")
-        assert gc_counts == {
+               f"runtime-on-the-wire (one cycle): owner-sent {owner_sent}, "
+               f"third-party {third_party}")
+        assert owner_sent == {
+            "dirty": 0, "dirty_ack": 0, "copy_ack": 1,
+            "clean": 1, "clean_ack": 1,
+        }
+        assert third_party == {
             "dirty": 1, "dirty_ack": 1, "copy_ack": 1,
             "clean": 1, "clean_ack": 1,
         }

@@ -191,6 +191,83 @@ class TestExhaustiveSafety:
                f"{len(unordered.violations[0].trace)})")
 
     @pytest.mark.benchmark(group="E5-model-check")
+    def test_owner_opt_seqno_protocol(self, benchmark, report):
+        """The protocol the runtime ships (v7): owner-sent copies are
+        registered by a seqno-carrying copy ack.  Safe and leak-free
+        over *unordered* channels with retried cleans at 3 procs / 3
+        copies; restarting a client's seqnos per entry (the negative
+        control) reclaims an object a client still holds."""
+        from repro.model.variants import (
+            SeqnoOwnerOptMachine,
+            initial_owner_opt_seqnos,
+            owner_opt_seqno_violations,
+        )
+
+        def run():
+            shipped = explore(
+                initial_owner_opt_seqnos(nprocs=3, copies_left=3,
+                                         ordered=False),
+                machine=SeqnoOwnerOptMachine(),
+                checker=owner_opt_seqno_violations, keep_traces=False,
+                max_states=3_000_000,
+            )
+            restarted = explore(
+                initial_owner_opt_seqnos(nprocs=3, copies_left=3,
+                                         ordered=False,
+                                         restart_seqnos=True),
+                machine=SeqnoOwnerOptMachine(),
+                checker=owner_opt_seqno_violations, keep_traces=True,
+            )
+            return shipped, restarted
+
+        shipped, restarted = benchmark.pedantic(run, rounds=1, iterations=1)
+        assert shipped.ok and shipped.quiescent_states >= 1
+        assert not restarted.ok
+        report("E5 model check",
+               f"owner-opt v7 (seqno-carrying ack, unordered, retried "
+               f"cleans): safe and leak-free over {shipped.states} "
+               f"states; per-entry seqnos reclaim early (length "
+               f"{len(restarted.violations[0].trace)})")
+
+    @pytest.mark.benchmark(group="E5-model-check")
+    def test_owner_opt_seqno_expiry(self, benchmark, report):
+        """The v7 protocol with one transient entry expiring
+        (``transient_ttl``) at 3 procs / 3 copies, unordered: safe
+        because expiry enrolls the receiver; forgetting the entry
+        instead (the negative control) reclaims early."""
+        from repro.model.variants import (
+            SeqnoOwnerOptMachine,
+            initial_owner_opt_seqnos,
+            owner_opt_seqno_violations,
+        )
+
+        def run():
+            enrolled = explore(
+                initial_owner_opt_seqnos(nprocs=3, copies_left=3,
+                                         ordered=False, expiries_left=1),
+                machine=SeqnoOwnerOptMachine(),
+                checker=owner_opt_seqno_violations, keep_traces=False,
+                max_states=3_000_000,
+            )
+            forgotten = explore(
+                initial_owner_opt_seqnos(nprocs=3, copies_left=3,
+                                         ordered=False, expiries_left=1,
+                                         forget_on_expiry=True),
+                machine=SeqnoOwnerOptMachine(),
+                checker=owner_opt_seqno_violations, keep_traces=True,
+            )
+            return enrolled, forgotten
+
+        enrolled, forgotten = benchmark.pedantic(run, rounds=1, iterations=1)
+        assert enrolled.ok and enrolled.rule_counts["expire"] > 0
+        assert not forgotten.ok
+        report("E5 model check",
+               f"owner-opt v7 with transient expiry: enrolling the "
+               f"receiver is safe over {enrolled.states} states; "
+               f"forgetting the entry reclaims early (length "
+               f"{len(forgotten.violations[0].trace)})")
+
+    @pytest.mark.benchmark(group="E5-model-check")
     @pytest.mark.parametrize("label,kwargs", [
         ("2p-2g-2w", dict(nprocs=2, grants_left=2, writes_left=2)),
         ("3p-2g-1w", dict(nprocs=3, grants_left=2, writes_left=1)),

@@ -33,10 +33,11 @@ certain the replica is no longer being served.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import threading
 import time
-from typing import Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.wire.ids import SpaceID
 from repro.wire.wirerep import WireRep
@@ -62,6 +63,45 @@ class Lease:
                 f"remaining={self.remaining():.3f}s, v{self.version})")
 
 
+class _LeaseLock:
+    """The lease lock, plus retirements queued by threads that must not
+    wait for it.  Whoever holds the lock applies the queue before it
+    releases, and looks again after: a retirement queued just as the
+    lock is released is taken up by the queuing thread itself or by
+    the next holder."""
+
+    def __init__(self, apply: Callable[..., None]):
+        self._lock = threading.Lock()
+        self._deferred: collections.deque = collections.deque()
+        self._apply = apply
+
+    def __enter__(self) -> "_LeaseLock":
+        self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._release()
+
+    def apply_or_defer(self, *args) -> None:
+        """``apply(*args)`` now if the lock is free, else queue it for
+        the holder; never waits."""
+        if self._lock.acquire(blocking=False):
+            self._apply(*args)
+        else:
+            self._deferred.append(args)
+            if not self._lock.acquire(blocking=False):
+                return  # the holder applies it before releasing
+        self._release()
+
+    def _release(self) -> None:
+        while True:
+            while self._deferred:
+                self._apply(*self._deferred.popleft())
+            self._lock.release()
+            if not self._deferred or not self._lock.acquire(blocking=False):
+                return
+
+
 class LeaseTable:
     """Owner half: grant, retire and collect leases on exported entries.
 
@@ -71,11 +111,16 @@ class LeaseTable:
     reference copies, taking the owner lock), so the collector must
     never call in here while holding its own lock — DgcOwner retires
     leases after releasing it.
+
+    A grant holds the lock while user code pickles the snapshot, for
+    as long as that takes.  The reactor must not wait for that, so the
+    retirements it triggers (CLEAN, LEASE_RELEASE) go through
+    :meth:`retire_soon`, which never blocks.
     """
 
     def __init__(self, max_ttl: float):
         self.max_ttl = max_ttl
-        self._lock = threading.Lock()
+        self._lock = _LeaseLock(self._retire_locked)
         self._ids = itertools.count(1)
         self.leases_granted = 0
         self.leases_denied = 0
@@ -84,7 +129,7 @@ class LeaseTable:
         self.expired_leases = 0
 
     @property
-    def lock(self) -> threading.Lock:
+    def lock(self) -> _LeaseLock:
         """The lease lock — grant/collect critical sections run under it."""
         return self._lock
 
@@ -116,32 +161,38 @@ class LeaseTable:
 
     def retire(self, entry, holder: SpaceID,
                lease: Optional[Lease] = None) -> Optional[Lease]:
-        """Drop ``holder``'s lease on ``entry`` (CLEAN, purge, release,
-        or post-invalidation).  With ``lease`` given, retires only that
-        exact lease — a stale retirement cannot kill a re-grant."""
+        """Drop ``holder``'s lease on ``entry`` after a write's
+        invalidation.  With ``lease`` given, retires only that exact
+        lease — a stale retirement cannot kill a re-grant."""
         with self._lock:
             current = entry.leases.get(holder)
-            if current is None:
-                return None
             if lease is not None and current is not lease:
                 return None
-            del entry.leases[holder]
-            if current.remaining() <= 0:
-                self.expired_leases += 1
-            else:
-                self.leases_released += 1
-            return current
+            return self._retire_locked(entry, holder)
 
-    def retire_by_id(self, entry, holder: SpaceID, lease_id: int) -> None:
-        """Retire by wire identity (LEASE_RELEASE carries the id)."""
-        with self._lock:
-            current = entry.leases.get(holder)
-            if current is not None and current.lease_id == lease_id:
-                del entry.leases[holder]
-                if current.remaining() <= 0:
-                    self.expired_leases += 1
-                else:
-                    self.leases_released += 1
+    def retire_soon(self, entry, holder: SpaceID,
+                    lease_id: Optional[int] = None) -> None:
+        """Drop ``holder``'s lease on ``entry`` (only lease ``lease_id``,
+        if given — LEASE_RELEASE and LEASE_RENEW carry it) without
+        waiting for the lease lock: CLEAN, purge and LEASE_RELEASE run
+        on threads that must not block.  If a grant holds the lock,
+        the grant applies the retirement as it releases it — after
+        registering its own lease, which a departed holder must not
+        keep either."""
+        self._lock.apply_or_defer(entry, holder, lease_id)
+
+    def _retire_locked(self, entry, holder: SpaceID,
+                       lease_id: Optional[int] = None) -> Optional[Lease]:
+        current = entry.leases.get(holder)
+        if current is None or (lease_id is not None
+                               and current.lease_id != lease_id):
+            return None
+        del entry.leases[holder]
+        if current.remaining() <= 0:
+            self.expired_leases += 1
+        else:
+            self.leases_released += 1
+        return current
 
     def begin_write(self, entry) -> "list[Lease]":
         """Write-path collect: bump the entry's lease version and take

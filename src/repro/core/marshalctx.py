@@ -6,7 +6,9 @@ object if needed and pinning a transient dirty entry until the
 receiver acknowledges.  On the way in it turns payloads back into the
 local instance: the concrete object if we are the owner, otherwise the
 (possibly freshly dirtied) surrogate, acknowledging the copy to the
-sender only once the reference is safely registered.
+sender only once the reference is safely registered — or, for a copy
+its owner sent over a protocol-v7 connection, registering it *by* the
+acknowledgement.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.core.surrogate import Surrogate
-from repro.errors import CommFailure, MarshalError, UnmarshalError
+from repro.errors import (
+    CommFailure, MarshalError, NetObjError, UnmarshalError,
+)
 from repro.rpc import messages
+from repro.wire.protocol import ACK_REGISTRATION_VERSION
 from repro.wire.varint import read_uvarint, write_uvarint
 from repro.wire.wirerep import WireRep
 
@@ -116,7 +121,12 @@ class MarshalContext:
 
             chain = tuple(typechain(type(value)))
             copy_id = space.transient.pin(value)
-            space.dgc_owner.record_copy_sent(entry, copy_id)
+            connection = self._connection
+            receiver = None
+            if connection is not None and \
+                    connection.version >= ACK_REGISTRATION_VERSION:
+                receiver = connection.peer_id
+            space.dgc_owner.record_copy_sent(entry, copy_id, receiver)
         return encode_ref(wirerep, copy_id, tuple(endpoints), tuple(chain))
 
     def unmarshal(self, payload) -> object:
@@ -136,8 +146,31 @@ class MarshalContext:
                 )
             self._ack(wirerep, copy_id)
             return entry.obj
-        surrogate = space.dgc_client.acquire_ref(wirerep, endpoints, chain)
-        self._ack(wirerep, copy_id)
+        # None until a registering ack is tried, then whether it went out.
+        ack_sent = None
+
+        def register(seqno: int) -> bool:
+            nonlocal ack_sent
+            ack_sent = self._send_ack(self._connection, wirerep, copy_id,
+                                      seqno)
+            return ack_sent
+
+        surrogate = space.dgc_client.acquire_ref(
+            wirerep, endpoints, chain,
+            register if owner_sent(self._connection, wirerep, copy_id)
+            else None,
+        )
+        if ack_sent is None:
+            self._ack(wirerep, copy_id)
+        elif not ack_sent:
+            # The copy's connection died and a dirty call registered us
+            # instead; release the owner's transient entry over the
+            # connection that call used.
+            try:
+                connection = space._conn_for_endpoints(endpoints)
+            except NetObjError:
+                return surrogate
+            self._send_ack(connection, wirerep, copy_id, 0)
         return surrogate
 
     # -- internals ---------------------------------------------------------------
@@ -145,9 +178,23 @@ class MarshalContext:
     def _ack(self, wirerep: WireRep, copy_id: int) -> None:
         if copy_id == 0:
             return  # bootstrap references carry no transient entry
+        # A failed send leaves the sender's transient entry to its own
+        # connection-loss handling (transient_ttl, the pinger).
+        self._send_ack(self._connection, wirerep, copy_id, 0)
+
+    @staticmethod
+    def _send_ack(connection, wirerep: WireRep, copy_id: int,
+                  seqno: int) -> bool:
         try:
-            self._connection.send(messages.CopyAck(wirerep, copy_id))
+            connection.send(messages.CopyAck(wirerep, copy_id, seqno))
+            return True
         except CommFailure:
-            # The sender vanished; its transient entry is now its
-            # problem (connection-loss cleanup / pinger handles it).
-            pass
+            return False
+
+
+def owner_sent(connection, wirerep: WireRep, copy_id: int) -> bool:
+    """True when a received reference registers through its copy
+    acknowledgement: its owner sent it over a v7 connection, and it
+    is not a bootstrap copy (which has no transient entry to ack)."""
+    return (copy_id != 0 and connection.peer_id == wirerep.owner
+            and connection.version >= ACK_REGISTRATION_VERSION)

@@ -31,10 +31,12 @@ class ExportedEntry:
     hold surrogates.  ``seqnos`` retains the largest clean/dirty
     sequence number seen per client even after the client leaves the
     set, so a late, reordered dirty call cannot resurrect the entry.
-    ``tdirty`` counts in-flight copies of this object sent *by the
+    ``tdirty`` maps each in-flight copy of this object sent *by the
     owner* (the transient dirty entries holding it alive during
-    transmission).  ``pinned`` marks the special object, which is never
-    dropped.
+    transmission) to its receiver's SpaceID when the receiver
+    registers through the copy's acknowledgement (protocol v7), else
+    None.
+    ``pinned`` marks the special object, which is never dropped.
 
     ``leases`` maps holder SpaceID → live :class:`repro.core.leases.Lease`
     (protocol v4 read leases) and ``lease_version`` counts write-path
@@ -56,7 +58,7 @@ class ExportedEntry:
         self.index = index
         self.pdirty: set = set()          # SpaceIDs holding surrogates
         self.seqnos: Dict[SpaceID, int] = {}
-        self.tdirty: set = set()          # copy_ids in flight from owner
+        self.tdirty: dict = {}            # copy_id in flight -> v7 receiver
         self.pinned = pinned
         self.leases: dict = {}            # holder SpaceID -> Lease
         self.lease_version = 0

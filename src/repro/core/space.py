@@ -27,7 +27,7 @@ from types import FunctionType
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.leases import LeaseCache, LeaseTable
-from repro.core.marshalctx import MarshalContext, decode_ref
+from repro.core.marshalctx import MarshalContext, decode_ref, owner_sent
 from repro.core.netobj import (
     NetObj, quick_method_set, reads_method_set, remote_method_set,
 )
@@ -272,7 +272,7 @@ class Space:
         )
         self.lease_table = LeaseTable(self.gc_config.lease_ttl)
         self.lease_cache = LeaseCache()
-        self.dgc_owner.lease_retire = self.lease_table.retire
+        self.dgc_owner.lease_retire = self.lease_table.retire_soon
         self.dgc_client = DgcClient(
             self.object_table, self.types, self._gc_request,
             self._invoke_remote, self.gc_config,
@@ -1001,11 +1001,13 @@ class Space:
         client = self.dgc_client
         for payload in payloads:
             try:
-                wirerep, _copy_id, endpoints, chain = decode_ref(payload)
+                wirerep, copy_id, endpoints, chain = decode_ref(payload)
             except UnmarshalError:
                 return  # corrupt; the real decode reports it properly
             if wirerep.owner == self.space_id or wirerep in seen:
                 continue
+            if owner_sent(connection, wirerep, copy_id):
+                continue  # registers through its copy ack, no dirty
             seen.add(wirerep)
             entry = client.entry(wirerep)
             if entry is not None and (
@@ -1098,7 +1100,7 @@ class Space:
                 message.call_id, len(message.entries)
             ))
         elif isinstance(message, messages.CopyAck):
-            self._apply_copy_ack(message)
+            self._apply_copy_ack(connection.peer_id, message)
         elif isinstance(message, messages.Ping):
             self._reply(connection, messages.PingAck(message.call_id))
         elif isinstance(message, (messages.LeaseReq, messages.LeaseRenew)):
@@ -1120,14 +1122,18 @@ class Space:
             return False, f"not the owner of {message.target}"
         return self.dgc_owner.handle_dirty(peer, message.target, message.seqno)
 
-    def _apply_copy_ack(self, message: messages.CopyAck) -> None:
+    def _apply_copy_ack(self, peer: SpaceID,
+                        message: messages.CopyAck) -> None:
         pinned = self.transient.release(message.copy_id)
-        if pinned is None:
+        if message.target.owner != self.space_id:
+            # A surrogate pin: dropping the strong reference is all
+            # the release there is; local collection does the rest.
             return
-        if message.target.owner == self.space_id:
-            self.dgc_owner.handle_copy_ack(message.target, message.copy_id)
-        # For surrogate pins, dropping the strong reference is all the
-        # release there is; local collection handles the rest.
+        if pinned is not None or message.seqno:
+            # A registering ack applies even after its pin expired.
+            self.dgc_owner.handle_copy_ack(
+                message.target, message.copy_id, peer, message.seqno
+            )
 
     def _serve_call(self, connection: Connection, call: messages.Call) -> None:
         try:
@@ -1424,7 +1430,7 @@ class Space:
             ))
             return
         if isinstance(message, messages.LeaseRenew):
-            self.lease_table.retire_by_id(entry, holder, message.lease_id)
+            self.lease_table.retire_soon(entry, holder, message.lease_id)
         ttl = min(message.ttl_ms / 1000.0, self.gc_config.lease_ttl)
         ttl_ms = max(1, int(ttl * 1000))
         buffer = connection.new_send_buffer()
@@ -1462,7 +1468,7 @@ class Space:
             return
         entry = self.object_table.exported_entry(message.target.index)
         if entry is not None:
-            self.lease_table.retire_by_id(entry, peer, message.lease_id)
+            self.lease_table.retire_soon(entry, peer, message.lease_id)
 
     def _invalidate_after_write(self, obj: NetObj, method_name: str) -> None:
         """Write-path invalidation: runs after the mutation, before its
@@ -1634,7 +1640,11 @@ class Space:
             "dirty_calls_sent": self.dgc_client.dirty_calls_sent,
             "clean_calls_sent": self.dgc_client.clean_calls_sent,
             "dirty_calls_seen": self.dgc_owner.dirty_calls_seen,
+            "ack_registrations_sent": self.dgc_client.ack_registrations,
+            "ack_registrations_seen":
+                self.dgc_owner.ack_registrations_seen,
             "clean_calls_seen": self.dgc_owner.clean_calls_seen,
+            "expiry_enrollments": self.dgc_owner.expiry_enrollments,
             "objects_dropped": self.dgc_owner.objects_dropped,
             "resurrections": self.dgc_client.resurrections,
             "dropped_tasks": self.dispatcher.tasks_failed,

@@ -13,10 +13,19 @@ here are the ones the formalisation proved necessary:
   after the dirty ack (the naive-counting race fix);
 * a copy received after the surrogate died but before its clean call
   was sent cancels the clean and resurrects the entry (Note 4 of the
-  formalisation), saving a clean/dirty round trip.
+  formalisation), saving a clean/dirty round trip;
+* a copy sent by the reference's *owner* over a protocol-v7
+  connection needs no dirty call at all: the receiver's copy
+  acknowledgement carries its next sequence number and registers it
+  (PROTOCOL.md, "Registration by copy ack").  The owner's transient
+  entry covers the object until that acknowledgement promotes the
+  receiver into the dirty set.
 
-The entry also carries the per-reference sequence number whose
-monotonicity the owner relies on.
+Sequence numbers come from one space-wide counter, never from the
+entry: the owner remembers the largest number it has seen from this
+space for as long as the object stays exported, so an entry that is
+removed after a completed clean and later re-created must continue
+above every number its predecessors used.
 """
 
 from __future__ import annotations
@@ -130,9 +139,13 @@ class DgcClient:
         self._entries: Dict[WireRep, RefEntry] = {}
         self._lock = threading.Lock()
         self._daemon = None          # attached by the space (CleanupDaemon)
+        #: Every dirty, clean and registering-ack seqno this space ever
+        #: sends (see the module docstring).
+        self._seqnos = itertools.count(1)
         # Statistics for tests and benchmarks.
         self.dirty_calls_sent = 0
         self.clean_calls_sent = 0
+        self.ack_registrations = 0
         self.resurrections = 0
 
     def attach_daemon(self, daemon) -> None:
@@ -174,12 +187,22 @@ class DgcClient:
     # -- the receive-copy path -----------------------------------------------------
 
     def acquire_ref(self, wirerep: WireRep, endpoints: Tuple[str, ...],
-                    chain: Tuple[str, ...]):
+                    chain: Tuple[str, ...],
+                    register: Optional[Callable[[int], bool]] = None):
         """Make ``wirerep`` usable here and return its surrogate.
 
         This is the unmarshal-side of a reference copy: it blocks the
         deserialising thread until the reference is registered with
         its owner (or raises if that proves impossible).
+
+        ``register(seqno)`` is given for a copy that arrived from the
+        owner itself over a v7 connection: it sends the seqno-carrying
+        copy acknowledgement and returns True if the frame went out.
+        It is used instead of a dirty call when this space has no
+        usable entry (NONEXISTENT, or NIL with no dirty call in
+        flight) and the entry did not have to wait out a clean call;
+        if the acknowledgement cannot be sent, the ordinary dirty call
+        runs before the surrogate is returned.
         """
         entry = self._entry_for(wirerep, endpoints, chain)
         deadline = time.monotonic() + 3 * self._config.gc_call_timeout
@@ -215,16 +238,19 @@ class DgcClient:
                 ):
                     entry.state = RefState.NIL
                     entry.dirty_in_progress = True
-                    entry.seqno += 1
-                    claimed_seqno = entry.seqno
+                    entry.seqno = claimed_seqno = next(self._seqnos)
                 elif state is RefState.NIL:
                     self._wait(entry)
                     continue
                 else:  # CCIT or CCITNIL: park until the clean resolves
                     entry.state = RefState.CCITNIL
+                    register = None  # the postponed dirty call runs
                     self._wait(entry)
                     continue
-            # We claimed the dirty call; perform it outside the lock.
+            # We claimed the registration; perform it outside the lock.
+            if register is not None and register(claimed_seqno):
+                self.ack_registrations += 1
+                return self._registered(entry)
             return self._perform_dirty(entry, claimed_seqno)
 
     def _wait(self, entry: RefEntry) -> None:
@@ -244,6 +270,10 @@ class DgcClient:
         except NetObjError as failure:
             self._dirty_failed(entry, failure)
             raise
+        return self._registered(entry)
+
+    def _registered(self, entry: RefEntry):
+        """The claimed registration is done: NIL → OK, new surrogate."""
         with entry.cond:
             entry.dirty_in_progress = False
             entry.state = RefState.OK
@@ -263,7 +293,7 @@ class DgcClient:
             entry.state = RefState.CCIT
             entry.clean_scheduled = True
             entry.strong_pending = True
-            entry.seqno += 1          # the clean outranks the dirty
+            entry.seqno = next(self._seqnos)  # the clean outranks the dirty
             entry.epoch += 1
             entry.last_failure = failure
             entry.cond.notify_all()
@@ -304,8 +334,7 @@ class DgcClient:
                     continue
                 entry.state = RefState.NIL
                 entry.dirty_in_progress = True
-                entry.seqno += 1
-                seqno = entry.seqno
+                entry.seqno = seqno = next(self._seqnos)
             self.dirty_calls_sent += 1
             try:
                 dirty_async(
@@ -387,7 +416,7 @@ class DgcClient:
                     entry.clean_scheduled = False
                     return None
                 entry.state = RefState.CCIT
-                entry.seqno += 1
+                entry.seqno = next(self._seqnos)
             # (a failed dirty call arrives here already in CCIT with
             #  its seqno pre-bumped; CCITNIL keeps its bump too)
             entry.clean_scheduled = False

@@ -34,6 +34,10 @@ class GcConfig:
     #: copy_acks unhandled (the formalisation calls this out); the
     #: expiry bounds the resulting pin leak when a receiver dies
     #: mid-transfer.  None (default) preserves the original behaviour.
+    #: A copy the owner sent over a protocol-v7 connection is not
+    #: forgotten on expiry: its receiver may already hold it, so it is
+    #: enrolled in the dirty set instead (a leak while it lives, never
+    #: an early reclamation).
     transient_ttl: Optional[float] = None
     #: Sweep period for expired transient entries.
     transient_sweep_interval: float = 1.0

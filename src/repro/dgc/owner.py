@@ -6,6 +6,13 @@ exceeds the largest already seen from that client for that object
 harmless.  When an object's permanent and transient dirty entries are
 all gone, its table entry is dropped — from that point the concrete
 object's lifetime is purely a local matter.
+
+A copy the owner sends of its own object is covered by a transient
+entry until the receiver acknowledges it.  On a protocol-v7
+connection that acknowledgement carries the receiver's sequence
+number and is applied exactly as a dirty call with that number, in
+the same critical section that drops the transient entry — so the
+object is covered without a gap and the receiver needs no dirty call.
 """
 
 from __future__ import annotations
@@ -32,14 +39,18 @@ class DgcOwner:
         #: lock orders before it (the grant path pickles snapshots
         #: under the lease lock, which can take this lock via
         #: record_copy_sent), so calling it under our lock would be the
-        #: textbook ABBA deadlock.
+        #: textbook ABBA deadlock.  It must not block either: a CLEAN
+        #: is applied on the reactor.
         self.lease_retire: Optional[Callable[[ExportedEntry, SpaceID], None]] \
             = None
         # Statistics read by tests and the GC benchmarks.
         self.dirty_calls_seen = 0
+        self.ack_registrations_seen = 0
         self.clean_calls_seen = 0
         self.stale_calls_ignored = 0
         self.objects_dropped = 0
+        #: Receivers enrolled by :meth:`release_copy` (expired v7 pins).
+        self.expiry_enrollments = 0
 
     # -- incoming GC calls ------------------------------------------------------
 
@@ -54,12 +65,17 @@ class DgcOwner:
                 # this for a live reference (safety theorem); it occurs
                 # only for retried/late traffic after a purge.
                 return False, f"no such object: {target}"
-            if seqno > entry.seqnos.get(client, 0):
-                entry.seqnos[client] = seqno
-                entry.pdirty.add(client)
-            else:
-                self.stale_calls_ignored += 1
+            self._register(entry, client, seqno)
             return True, ""
+
+    def _register(self, entry: ExportedEntry, client: SpaceID,
+                  seqno: int) -> None:
+        """The dirty-call rule (lock held): a newer seqno adds."""
+        if seqno > entry.seqnos.get(client, 0):
+            entry.seqnos[client] = seqno
+            entry.pdirty.add(client)
+        else:
+            self.stale_calls_ignored += 1
 
     def handle_clean(self, client: SpaceID, target: WireRep, seqno: int,
                      strong: bool) -> None:
@@ -84,23 +100,55 @@ class DgcOwner:
 
     # -- transient entries for owner-sent copies ---------------------------------
 
-    def record_copy_sent(self, entry: ExportedEntry, copy_id: int) -> None:
+    def record_copy_sent(self, entry: ExportedEntry, copy_id: int,
+                         receiver: Optional[SpaceID] = None) -> None:
         """The owner is transmitting its object: hold it in the dirty
-        table until the receiver acknowledges (the §2.1 race fix)."""
-        with self._lock:
-            entry.tdirty.add(copy_id)
+        table until the receiver acknowledges (the §2.1 race fix).
 
-    def handle_copy_ack(self, target: WireRep, copy_id: int) -> None:
+        ``receiver`` is the peer of the v7 connection the copy travels
+        on, if any — it registers through the acknowledgement, so
+        :meth:`release_copy` must enroll it rather than forget it.
+        """
+        with self._lock:
+            entry.tdirty[copy_id] = receiver
+
+    def handle_copy_ack(self, target: WireRep, copy_id: int,
+                        client: Optional[SpaceID] = None,
+                        seqno: int = 0) -> None:
+        """Drop the transient entry ``copy_id``; a non-zero ``seqno``
+        (protocol v7) first registers ``client`` exactly as a dirty
+        call with that seqno would."""
         with self._lock:
             entry = self._table.exported_entry(target.index)
             if entry is None:
                 return
-            entry.tdirty.discard(copy_id)
+            if seqno:
+                self.ack_registrations_seen += 1
+                self._register(entry, client, seqno)
+            entry.tdirty.pop(copy_id, None)
             self._maybe_drop(entry)
 
     def release_copy(self, target: WireRep, copy_id: int) -> None:
-        """Give up on an unacknowledged copy (receiver presumed dead)."""
-        self.handle_copy_ack(target, copy_id)
+        """Give up waiting for ``copy_id``'s acknowledgement.
+
+        A v2–v6 receiver registers by its own dirty call, so the entry
+        is simply forgotten: if the receiver did take the copy, the
+        dirty call already covers it (or, arriving late, fails loudly).
+        A v7 receiver may count itself registered by an acknowledgement
+        that is still in flight or was lost, so it is enrolled in the
+        dirty set instead.  That can leak — for as long as the receiver
+        lives, if it never took the copy or its clean call came first —
+        but never reclaims an object the receiver holds.
+        """
+        with self._lock:
+            entry = self._table.exported_entry(target.index)
+            if entry is None or copy_id not in entry.tdirty:
+                return
+            receiver = entry.tdirty.pop(copy_id)
+            if receiver is not None:
+                entry.pdirty.add(receiver)
+                self.expiry_enrollments += 1
+            self._maybe_drop(entry)
 
     # -- client death ------------------------------------------------------------
 

@@ -3,6 +3,9 @@
 * :mod:`naive` — naive distributed reference counting, whose
   increment/decrement race the explorer finds mechanically (the
   motivating bug of Section 2.2);
+* :mod:`owner_opt` — the Section-5.2 owner optimisations: the literal
+  protocol, its ack-promoting repair, and the runtime's protocol-v7
+  form with seqno-carrying acks over unordered channels;
 * :mod:`fifo` — the Section-5.1 variant over FIFO channels: no
   blocking deserialisation, no clean acknowledgements, two receive
   states;
@@ -37,7 +40,11 @@ from repro.model.variants.faulty import (
 from repro.model.variants.owner_opt import (
     OwnerOptConfiguration,
     OwnerOptMachine,
+    SeqnoOwnerOptConfiguration,
+    SeqnoOwnerOptMachine,
     initial_owner_opt,
+    initial_owner_opt_seqnos,
+    owner_opt_seqno_violations,
     owner_opt_violations,
 )
 from repro.model.variants.leased import (
@@ -79,8 +86,12 @@ __all__ = [
     "NaiveMachine",
     "OwnerOptConfiguration",
     "OwnerOptMachine",
+    "SeqnoOwnerOptConfiguration",
+    "SeqnoOwnerOptMachine",
     "WeightedRC",
     "initial_owner_opt",
+    "initial_owner_opt_seqnos",
+    "owner_opt_seqno_violations",
     "owner_opt_violations",
     "all_models",
     "fifo_violations",

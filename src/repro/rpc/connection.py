@@ -8,10 +8,12 @@ the :class:`~repro.transport.reactor.FrameSink` callbacks
 the space's shared reactor thread for selectable channels, from a
 per-connection :class:`~repro.transport.reactor.ChannelPump` bridge
 otherwise.  Either way the delivering thread decodes envelopes only:
-replies complete a pending call on the issuer's thread, requests go to
-the space's dispatcher.  Argument and result pickles are *not* decoded
-on the delivering thread — blocking work (including nested dirty calls
-triggered by unpickling) happens in the thread that owns the call.
+replies complete a pending call on the issuer's thread, collector and
+lease-release frames are applied in place (their handlers never
+block), and other requests go to the space's dispatcher.  Argument and
+result pickles are *not* decoded on the delivering thread — blocking
+work (including nested dirty calls triggered by unpickling) happens in
+the thread that owns the call.
 
 Calls come in two shapes over the same call-id multiplexing:
 
@@ -38,6 +40,7 @@ version is ``self.version``.
 from __future__ import annotations
 
 import itertools
+import logging
 import threading
 import time
 from typing import Callable, Optional
@@ -53,6 +56,8 @@ from repro.wire import protocol
 from repro.wire.framing import BufferPool, finish_frame
 from repro.wire.ids import SpaceID
 
+logger = logging.getLogger("repro.rpc.connection")
+
 #: Default per-call deadline, generous enough for loaded CI machines.
 DEFAULT_CALL_TIMEOUT = 30.0
 
@@ -67,26 +72,22 @@ DEFAULT_FLUSH_TIMEOUT = 1.0
 #: ``call_buffer_async`` belongs to its caller.
 _MAX_FREE_PENDING = 8
 
-#: The collector's control plane.  These frames are *bounded* by the
-#: per-connection inflight gauge (reads pause) but never *refused* by
-#: the queue cap, rate bucket, or bulkheads: refusing a DIRTY/CLEAN
-#: would break the reference-listing invariants, and refusing a PING
-#: makes a busy-but-live client look dead to the pinger (which would
-#: then purge its dirty entries — a GC-safety violation, not a
-#: liveness hiccup).  The plane is low-rate and seqno-guarded, so the
-#: exemption cannot be used to flood past admission.
-_GC_PLANE_TAGS = frozenset({
-    protocol.DIRTY, protocol.CLEAN, protocol.CLEAN_BATCH, protocol.PING,
-})
-
-#: Request tags whose *pre-v6* reply handlers digest a FAULT: the call
-#: plane raises it as RemoteError, and a LEASE_REQ caller treats any
-#: non-grant reply as a per-RPC fallback.  Every other pre-v6 plane
-#: asserts on its expected ack type, so a shed there must be answered
-#: by silence (the peer's own timeout/retry machinery recovers).
-_FAULT_OK_TAGS = frozenset({
-    protocol.CALL, protocol.CALL_BIND, protocol.CALL_BOUND,
-    protocol.CALL_FAST, protocol.LEASE_REQ,
+#: Frames applied on the thread that decoded them (the reactor or a
+#: channel pump), never handed to the dispatcher: the collector's
+#: control plane plus the lease plane's release and holder-side
+#: invalidation.  Their handlers take only short, non-blocking locks
+#: (the lock audit in DESIGN.md, "Registration by copy ack") and
+#: reply with at most one small frame.
+#: They are charged against the per-connection inflight gauge like
+#: any request but never *refused*: refusing a DIRTY/CLEAN would
+#: break the reference-listing invariants, and refusing a PING makes
+#: a busy-but-live client look dead to the pinger (which would then
+#: purge its dirty entries — a GC-safety violation, not a liveness
+#: hiccup).  A busy dispatcher cannot delay them either.
+_REACTOR_TAGS = frozenset({
+    protocol.DIRTY, protocol.CLEAN, protocol.CLEAN_BATCH,
+    protocol.COPY_ACK, protocol.PING,
+    protocol.LEASE_RELEASE, protocol.LEASE_INVALIDATE,
 })
 
 
@@ -427,7 +428,8 @@ class Connection:
     #
     # Called on the reactor thread (selectable channels) or a pump
     # thread (everything else).  Neither callback may block: envelope
-    # decode, pending-table completion, and dispatcher hand-off only.
+    # decode, pending-table completion, the non-blocking handlers of
+    # the reactor-applied tags, and dispatcher hand-off only.
 
     def on_frame(self, frame) -> None:
         profile = self._profile
@@ -453,16 +455,17 @@ class Connection:
         if message.tag in messages.REPLY_TAGS:
             self._complete(message)
             return
+        gauge = self._gauge
+        nbytes = len(frame) if gauge is not None else 0
+        if message.tag in _REACTOR_TAGS:
+            self._apply_on_thread(message, gauge, nbytes)
+            return
         # Admission: charge the frame against this connection's credit
         # budget before any work is queued for it.  Rate policing sheds
         # here; inflight-budget exhaustion pauses reads instead (the
         # gauge's pause callback) — invisible to a well-behaved peer.
-        gauge = self._gauge
-        gc_plane = message.tag in _GC_PLANE_TAGS
-        nbytes = 0
         if gauge is not None:
-            nbytes = len(frame)
-            reason = gauge.admit(nbytes, police=not gc_plane)
+            reason = gauge.admit(nbytes)
             if reason is not None:
                 self._shed(message, reason, "shed_rate")
                 return
@@ -477,8 +480,7 @@ class Connection:
             return
         admission = self._admission
         bkey = None
-        if gauge is not None and not gc_plane \
-                and admission.config.bulkhead_quota is not None:
+        if gauge is not None and admission.config.bulkhead_quota is not None:
             bkey = self._bulkhead_key(message)
             if bkey is not None and not admission.bulkhead_enter(bkey):
                 gauge.release(nbytes)
@@ -499,8 +501,7 @@ class Connection:
             # ahead of gauge attachment): skip the charging, never the
             # refusal — a dropped request would strand the caller
             # until its timeout.
-            if not self._dispatcher.submit(base_task, shard=self._shard,
-                                           force=gc_plane):
+            if not self._dispatcher.submit(base_task, shard=self._shard):
                 self._shed(message, "queue full", "shed_queue")
             return
 
@@ -513,7 +514,6 @@ class Connection:
                     admission.bulkhead_leave(bkey)
 
         call_id = getattr(message, "call_id", None)
-        tag = message.tag
 
         def on_shed():
             # Fired by a draining shutdown for queued-but-unstarted
@@ -523,15 +523,29 @@ class Connection:
             if bkey is not None:
                 admission.bulkhead_leave(bkey)
             admission.count("shed_shutdown")
-            self._send_shed_reply(call_id, "shutting down", tag)
+            self._send_shed_reply(call_id, "shutting down")
 
         task.on_shed = on_shed
-        if not self._dispatcher.submit(task, shard=self._shard,
-                                       force=gc_plane):
+        if not self._dispatcher.submit(task, shard=self._shard):
             gauge.release(nbytes)
             if bkey is not None:
                 admission.bulkhead_leave(bkey)
             self._shed(message, "queue full", "shed_queue")
+
+    def _apply_on_thread(self, message: messages.Message, gauge,
+                         nbytes: int) -> None:
+        """Run a :data:`_REACTOR_TAGS` frame's handler right here:
+        charged against the gauge (unpoliced) for its duration."""
+        if gauge is not None:
+            gauge.admit(nbytes, police=False)
+        try:
+            self._handle_request(self, message)
+        except Exception:  # noqa: BLE001 - must not kill the reactor or pump
+            logger.exception("%r: dropped %s frame whose handler raised",
+                             self, protocol.tag_name(message.tag))
+        finally:
+            if gauge is not None:
+                gauge.release(nbytes)
 
     def on_closed(self, failure: Optional[Exception]) -> None:
         if failure is None:
@@ -558,11 +572,9 @@ class Connection:
         admission = self._admission
         if admission is not None:
             admission.count(counter)
-        self._send_shed_reply(getattr(message, "call_id", None), reason,
-                              message.tag)
+        self._send_shed_reply(getattr(message, "call_id", None), reason)
 
-    def _send_shed_reply(self, call_id: Optional[int], reason: str,
-                         tag: Optional[int] = None) -> None:
+    def _send_shed_reply(self, call_id: Optional[int], reason: str) -> None:
         if call_id is None:
             return  # a one-way message is shed by silence
         config = self._admission.config if self._admission is not None \
@@ -571,15 +583,14 @@ class Connection:
         try:
             if self.version >= protocol.BUSY_VERSION:
                 self.send(messages.Busy(call_id, reason, retry_ms))
-            elif tag is None or tag in _FAULT_OK_TAGS:
+            else:
                 # Pre-v6 peers would tear the connection down on an
-                # unknown tag; FAULT has existed since the floor and
-                # our own clients map kind "ServerBusy" back to the
-                # same exception (see ``_complete``).
+                # unknown tag; FAULT has existed since the floor, and
+                # every sheddable request (the call plane and the
+                # lease requests — the GC plane is never shed) digests
+                # it: our own clients map kind "ServerBusy" back to
+                # the same exception (see ``_complete``).
                 self.send(messages.Fault(call_id, "ServerBusy", reason, ""))
-            # else: a pre-v6 plane whose reply handler expects exactly
-            # its ack type (dirty/clean-batch assert on it) — shed by
-            # silence and let the peer's retry machinery recover.
         except CommFailure:
             pass
 

@@ -117,8 +117,7 @@ class Dispatcher:
         #: Queued-but-unstarted tasks discarded by a draining shutdown.
         self.discarded_tasks = 0
 
-    def submit(self, task: Task, shard: Optional[int] = None,
-               force: bool = False) -> bool:
+    def submit(self, task: Task, shard: Optional[int] = None) -> bool:
         """Run ``task`` promptly on some worker thread.
 
         ``shard`` routes the task to that reactor shard's local deque
@@ -127,10 +126,9 @@ class Dispatcher:
 
         Returns False — and does not hold the task — when the pool has
         shut down or the ``max_queued`` cap is reached; the caller
-        decides how to refuse (typically a BUSY reply).  ``force``
-        exempts the task from the queue cap (never from shutdown):
-        the collector's control plane must not be refused, or a live
-        peer could be mistaken for a dead one.
+        decides how to refuse (typically a BUSY reply).  (The
+        collector's control plane, which must never be refused, does
+        not come here: connections apply it on the reactor.)
         """
         if self._shutdown:
             return False
@@ -140,7 +138,7 @@ class Dispatcher:
         with self._lock:
             if self._shutdown:
                 return False
-            if not force and self.max_queued is not None and \
+            if self.max_queued is not None and \
                     self._queued >= self.max_queued:
                 self.shed_submits += 1
                 return False

@@ -674,24 +674,35 @@ class CopyAck(_Encodable):
     """Receiver acknowledges a reference copy (one-way, no reply).
 
     Releases the sender's transient dirty entry identified by
-    ``copy_id``; sent only after the receiver's dirty call completed,
-    which is exactly what makes the Figure-1 race impossible.
+    ``copy_id``.  A plain acknowledgement (``seqno`` 0) is sent only
+    after the receiver's dirty call completed, which is exactly what
+    makes the Figure-1 race impossible.  Protocol v7: when the sender
+    is the reference's owner, a non-zero ``seqno`` — a trailing field,
+    absent from plain acks — registers the receiver instead of a
+    dirty call, and the owner applies it as a dirty call with that
+    seqno before dropping the transient entry.
     """
 
     target: WireRep
     copy_id: int
+    seqno: int = 0
     tag = protocol.COPY_ACK
 
     def encode_into(self, out: bytearray) -> None:
         out.append(self.tag)
         self.target.to_wire(out)
         write_uvarint(out, self.copy_id)
+        if self.seqno:
+            write_uvarint(out, self.seqno)
 
     @classmethod
     def decode(cls, data, offset: int) -> "CopyAck":
         target, offset = WireRep.from_wire(data, offset)
         copy_id, offset = read_uvarint(data, offset)
-        return cls(target, copy_id)
+        seqno = 0
+        if offset < len(data):
+            seqno, offset = read_uvarint(data, offset)
+        return cls(target, copy_id, seqno)
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,13 @@ at registration and stay there for life, so per-channel state
 
 **The reactor thread never unpickles and never runs user code.**  A
 sink's ``on_frame`` decodes the message *envelope* only and routes it:
-replies complete a pending call future, requests go to the space's
-dispatcher pool.  Anything that can block — unpickling (which may
-issue nested dirty calls), method execution, GC acks — happens on a
-worker or caller thread, exactly as it did under reader-per-connection,
-so the formal-model GC obligations and protocol interop are untouched.
+replies complete a pending call future, the collector's frames are
+applied in place (their handlers take only short, non-blocking
+locks), other requests go to the space's dispatcher pool.  Anything
+that can block — unpickling (which may issue nested dirty calls),
+method execution — happens on a worker or caller thread, exactly as
+it did under reader-per-connection, so the formal-model GC
+obligations and protocol interop are untouched.
 
 Transports with no kernel-pollable descriptor (in-process queues, the
 simulated network) are bridged by :class:`ChannelPump`: one daemon

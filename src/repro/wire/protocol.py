@@ -9,17 +9,20 @@ ordinary messages on the same channels as method invocations.
 
 from __future__ import annotations
 
-#: Version 6: admission control — the BUSY shed frame, a reply that
-#: tells the caller the request was refused (not failed) with a
-#: retry-after hint.  Version 5 added the call fast lane — method-id
-#: interning (CALL_BIND/CALL_BOUND), typed scalar argument/result
+#: Version 7: registration by copy acknowledgement — a COPY_ACK for a
+#: reference its owner sent carries the receiver's sequence number and
+#: stands in for the receiver's dirty call.  Version 6 added admission
+#: control — the BUSY shed frame, a reply that tells the caller the
+#: request was refused (not failed) with a retry-after hint.  Version 5
+#: added the call fast lane — method-id interning
+#: (CALL_BIND/CALL_BOUND), typed scalar argument/result
 #: frames (CALL_FAST/RESULT_FAST) that bypass the pickler, and inline
 #: reactor dispatch for ``@quick`` methods.  Version 4 added the
 #: read-lease frames (LEASE_REQ .. LEASE_INVALIDATE_ACK).  Version 3
 #: added CLEAN_BATCH/CLEAN_BATCH_ACK (batched collector traffic).
 #: Version 2 introduced trailing pickles on CALL/RESULT (no varint
 #: length prefix), enabling single-buffer encode.
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 #: Oldest version we still speak.  HELLO negotiates down to
 #: ``min(ours, peer's)``; below this floor the handshake is rejected.
@@ -115,6 +118,12 @@ FASTLANE_TAGS = frozenset({CALL_BIND, CALL_BOUND, CALL_FAST, RESULT_FAST})
 #: peers travel as a FAULT with kind ``"ServerBusy"`` instead — every
 #: version since the floor understands FAULT.
 BUSY_VERSION = 6
+
+#: First protocol version whose COPY_ACK may carry a sequence number
+#: that registers the receiver of an owner-sent reference (no dirty
+#: call).  Toward an older peer every received reference keeps its
+#: dirty round trip, and the owner never sees a seqno-carrying ack.
+ACK_REGISTRATION_VERSION = 7
 
 
 def tag_name(tag: int) -> str:

@@ -475,22 +475,56 @@ class TestUngaugedRefusal:
 
 
 class TestGCPlaneExemption:
-    """The collector's control plane (DIRTY/CLEAN/CLEAN_BATCH/PING) is
-    bounded by the inflight gauge but never *refused*: a shed dirty
-    breaks reference-listing safety, and a shed ping makes a live peer
-    look dead.  Pre-v6 peers get silence (not FAULT) on those planes —
-    their reply handlers assert on the exact ack type."""
+    """The collector's control plane (DIRTY/CLEAN/CLEAN_BATCH/COPY_ACK/
+    PING, plus LEASE_RELEASE/LEASE_INVALIDATE) is applied on the thread
+    that decoded it, charged against the inflight gauge but never
+    *refused*: a shed dirty breaks reference-listing safety, and a shed
+    ping makes a live peer look dead."""
 
-    def test_dispatcher_force_bypasses_queue_cap_not_shutdown(self):
-        pool = Dispatcher("force-test", max_queued=0)
+    def test_gc_frames_run_on_the_delivering_thread_and_are_charged(self):
+        from repro.rpc.connection import Connection
+        from repro.wire.ids import fresh_space_id
+
+        chan_a, chan_b = channel_pair()
+        refusing = Dispatcher("refuse-all", max_queued=0)
+        accepting = Dispatcher("client-side")
+        controller = AdmissionController(AdmissionConfig(rate=1.0, burst=1))
+        seen = []
+        result = {}
+
+        def handler(conn, msg):
+            if isinstance(msg, messages.Ping):
+                seen.append((threading.current_thread().name,
+                             conn._gauge._frames))
+                conn.send(messages.PingAck(msg.call_id))
+
+        def make_b():
+            result["b"] = Connection(
+                chan_b, fresh_space_id("b"), refusing, handler,
+                outbound=False, admission=controller,
+            )
+
+        thread = threading.Thread(target=make_b, daemon=True)
+        thread.start()
+        conn_a = Connection(
+            chan_a, fresh_space_id("a"), accepting,
+            lambda conn, msg: None, outbound=True,
+        )
+        thread.join(5)
         try:
-            ran = threading.Event()
-            assert not pool.submit(lambda: None)       # cap refuses
-            assert pool.submit(ran.set, force=True)    # force admits
-            assert ran.wait(5)
+            for _ in range(3):  # past the one-token rate bucket too
+                reply = conn_a.call(
+                    messages.Ping(conn_a.next_call_id()), timeout=5)
+                assert isinstance(reply, messages.PingAck)
+            assert [frames for _name, frames in seen] == [1, 1, 1]
+            assert all("refuse-all" not in name for name, _ in seen)
+            assert wait_until(lambda: result["b"]._gauge._frames == 0)
+            assert refusing.shed_submits == 0
         finally:
-            pool.shutdown()
-        assert not pool.submit(lambda: None, force=True)  # never past shutdown
+            conn_a.close()
+            result["b"].close()
+            refusing.shutdown()
+            accepting.shutdown()
 
     def test_unpoliced_admit_skips_the_token_bucket(self):
         controller = AdmissionController(AdmissionConfig(rate=1000.0, burst=1))
@@ -547,13 +581,11 @@ class TestGCPlaneExemption:
             refusing.shutdown()
             accepting.shutdown()
 
-    def test_pre_v6_shed_replies_are_tag_aware(self):
-        """Below v6 a shed DIRTY/CLEAN_BATCH must be answered by
-        silence: the old client asserts the reply is its exact ack
-        type, so a FAULT fallback would crash it (only the call plane
-        and LEASE_REQ digest FAULT gracefully)."""
+    def test_pre_v6_shed_replies_are_faults(self):
+        """Below v6 every shed reply is a FAULT of kind ServerBusy —
+        only the call plane and the lease requests can be shed, and
+        both digest it; from v6 on it is a BUSY frame."""
         from repro.rpc.connection import Connection
-        from repro.wire import protocol
         from repro.wire.ids import fresh_space_id
 
         chan_a, chan_b = channel_pair()
@@ -579,18 +611,13 @@ class TestGCPlaneExemption:
         try:
             b.send = sent.append     # capture instead of hitting the wire
             b.version = 5
-            b._send_shed_reply(7, "queue full", protocol.DIRTY)
-            b._send_shed_reply(8, "queue full", protocol.CLEAN_BATCH)
-            assert sent == []        # silence: the peer's retry recovers
-            b._send_shed_reply(9, "queue full", protocol.CALL)
-            b._send_shed_reply(10, "queue full", protocol.LEASE_REQ)
-            assert [type(m) for m in sent] == [
-                messages.Fault, messages.Fault,
-            ]
+            b._send_shed_reply(9, "queue full")
+            b._send_shed_reply(None, "queue full")   # one-way: silence
+            assert [type(m) for m in sent] == [messages.Fault]
             assert sent[0].kind == "ServerBusy"
             b.version = 6
-            b._send_shed_reply(11, "queue full", protocol.DIRTY)
-            assert type(sent[-1]) is messages.Busy   # v6: BUSY everywhere
+            b._send_shed_reply(11, "queue full")
+            assert type(sent[-1]) is messages.Busy
         finally:
             del b.send
             conn_a.close()

@@ -175,7 +175,7 @@ class TestCleanCycle:
         assert clean_seq > dirty_seq
 
     def test_full_relife_cycle(self, harness):
-        """⊥ → nil → OK → ccit → ⊥ → nil → OK, seqnos reset per entry."""
+        """⊥ → nil → OK → ccit → ⊥ → nil → OK, seqnos keep rising."""
         fake, client, daemon, rep, table = harness
         first = client.acquire_ref(rep, ENDPOINTS, CHAIN)
         del first
@@ -183,9 +183,67 @@ class TestCleanCycle:
         daemon.pump()
         second = client.acquire_ref(rep, ENDPOINTS, CHAIN)
         assert second is not None
-        # Fresh entry, so its dirty seqno restarts at 1 — correct
-        # because the owner forgot us (clean emptied the dirty set).
-        assert fake.calls("dirty") == [("dirty", rep, 1), ("dirty", rep, 1)]
+        # A fresh entry, but its dirty call must outrank the clean: the
+        # owner keeps our last seqno for as long as anyone else keeps
+        # the object exported, and would ignore a restarted dirty(1).
+        assert fake.calls("dirty") == [("dirty", rep, 1), ("dirty", rep, 3)]
+        assert fake.calls("clean")[0][2] == 2
+
+
+class TestAckRegistration:
+    """Protocol v7: an owner-sent copy registers through its ack."""
+
+    def test_owner_sent_copy_registers_without_dirty(self, harness):
+        fake, client, daemon, rep, table = harness
+        acks = []
+        surrogate = client.acquire_ref(
+            rep, ENDPOINTS, CHAIN, lambda seqno: acks.append(seqno) or True
+        )
+        assert surrogate is not None
+        assert acks == [1]
+        assert fake.calls("dirty") == []
+        assert client.state_of(rep) is RefState.OK
+        # A second owner-sent copy of a usable entry is a plain ack.
+        again = client.acquire_ref(
+            rep, ENDPOINTS, CHAIN, lambda seqno: acks.append(seqno) or True
+        )
+        assert again is surrogate and acks == [1]
+
+    def test_unsendable_ack_falls_back_to_dirty(self, harness):
+        fake, client, daemon, rep, table = harness
+        surrogate = client.acquire_ref(rep, ENDPOINTS, CHAIN,
+                                       lambda seqno: False)
+        assert surrogate is not None
+        # The dirty call carries the seqno the failed ack claimed.
+        assert fake.calls("dirty") == [("dirty", rep, 1)]
+        assert client.state_of(rep) is RefState.OK
+
+    def test_copy_during_clean_keeps_the_dirty_call(self, harness):
+        """A copy arriving while a clean is in flight parks (CCITNIL)
+        and then makes the postponed dirty call, ack or no ack."""
+        fake, client, daemon, rep, table = harness
+        first = client.acquire_ref(rep, ENDPOINTS, CHAIN, lambda s: True)
+        del first
+        gc.collect()
+        claim = client.begin_clean(rep)
+        assert claim is not None
+        entry, seqno, strong = claim
+        acks = []
+        result = {}
+
+        def receive():
+            result["s"] = client.acquire_ref(
+                rep, ENDPOINTS, CHAIN, lambda s: acks.append(s) or True)
+
+        thread = threading.Thread(target=receive)
+        thread.start()
+        assert wait_until(lambda: client.state_of(rep) is RefState.CCITNIL)
+        client.send_clean(entry, seqno, strong)
+        client.finish_clean(entry, True)
+        thread.join(5)
+        assert result["s"] is not None
+        assert acks == []
+        assert [c[2] for c in fake.calls("dirty")] == [seqno + 1]
 
 
 class TestResurrection:

@@ -7,11 +7,14 @@ the Figure-1 race are safe; the pinger purges crashed clients.
 """
 
 import gc
+import threading
+import time
 import weakref
 
 import pytest
 
 from repro import GcConfig, NetObj, Space
+from repro.rpc import messages
 from tests.helpers import Counter, Registry, settle, wait_until
 
 
@@ -88,8 +91,12 @@ class TestLifecycle:
         ref_b = b.import_object(owner.endpoints[0], "registry").fetch(0)
         ref_c = c.import_object(owner.endpoints[0], "registry").fetch(0)
         index = owner.object_table.export(counter).index
-        dirty = owner.dgc_owner.dirty_set(index)
-        assert b.space_id in dirty and c.space_id in dirty
+        # The copy acks that register b and c are one-way frames: wait
+        # for the owner to apply them.
+        assert wait_until(
+            lambda: owner.dgc_owner.dirty_set(index) == {b.space_id,
+                                                         c.space_id}
+        )
 
         del ref_b
         settle(owner, b, c)
@@ -228,11 +235,199 @@ class TestPinger:
             owner.serve("factory", factory_impl)
             factory = client.import_object(owner.endpoints[0], "factory")
             counter = factory.make(3)
-            import time
-
             time.sleep(0.5)  # many ping rounds
             assert owner.pinger.clients_purged == 0
             assert counter.value() == 3
         finally:
+            client.shutdown()
+            owner.shutdown()
+
+
+class Probe(NetObj):
+    def ping(self) -> str:
+        return "pong"
+
+
+class Visitor(NetObj):
+    def visit(self, probe) -> str:
+        return probe.ping()
+
+
+class TestSequenceNumbers:
+    """A space numbers its dirty/clean traffic from one counter, so a
+    reference re-imported after a completed clean outranks the owner's
+    memory of the previous life cycle."""
+
+    def test_reimport_after_full_clean_while_another_client_holds(
+            self, trio):
+        owner, a, b = trio
+        registry = Registry()
+        registry.held.append(Counter(11))
+        owner.serve("registry", registry)
+        registry_a = a.import_object(owner.endpoints[0], "registry")
+        registry_b = b.import_object(owner.endpoints[0], "registry")
+
+        held_by_b = registry_b.fetch(0)       # keeps the counter exported
+        first = registry_a.fetch(0)
+        wirerep = first._wirerep
+        del first
+        settle(owner, a, b)
+        assert wait_until(lambda: a.dgc_client.entry(wirerep) is None)
+
+        again = registry_a.fetch(0)           # same wireRep, new entry
+        assert again._wirerep == wirerep
+        del held_by_b
+        settle(owner, a, b)
+        index = wirerep.index
+        assert wait_until(
+            lambda: owner.dgc_owner.dirty_set(index) == {a.space_id}
+        )
+        assert again.value() == 11
+
+    def test_long_lived_callback_argument(self, request):
+        """One client object passed to the server by two threads at
+        once: the server's entry for it is created and cleaned over
+        and over while the other call keeps it exported."""
+        name = request.node.name
+        server = Space("server", listen=[f"inproc://visit-{name}"])
+        client = Space("client", listen=[f"inproc://probe-{name}"])
+        try:
+            server.serve("svc", Visitor())
+            svc = client.import_object(server.endpoints[0], "svc")
+            probe = Probe()
+            failures = []
+            calls = [0, 0]
+
+            def loop(slot):
+                deadline = time.monotonic() + 3.0
+                while time.monotonic() < deadline:
+                    try:
+                        assert svc.visit(probe) == "pong"
+                        calls[slot] += 1
+                    except Exception as exc:  # noqa: BLE001
+                        failures.append(exc)
+
+            threads = [threading.Thread(target=loop, args=(slot,))
+                       for slot in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert failures == [], failures[:3]
+            assert min(calls) > 0
+        finally:
+            client.shutdown()
+            server.shutdown()
+
+
+class TestRegistrationByCopyAck:
+    """Protocol v7: a reference its owner sends is registered by the
+    receiver's copy ack, with no dirty round trip."""
+
+    def test_make_drop_loop_sends_no_dirty_calls(self, trio):
+        owner, client, _ = trio
+        owner.serve("factory", Factory())
+        factory = client.import_object(owner.endpoints[0], "factory")
+        settle(owner, client)
+        baseline = owner.gc_stats()["exported"]
+        sent = client.gc_stats()["dirty_calls_sent"]
+        seen = owner.gc_stats()["dirty_calls_seen"]
+        for start in range(20):
+            counter = factory.make(start)
+            assert counter.value() == start
+            del counter
+        settle(owner, client)
+        assert client.gc_stats()["dirty_calls_sent"] == sent
+        assert owner.gc_stats()["dirty_calls_seen"] == seen
+        assert owner.gc_stats()["ack_registrations_seen"] >= 20
+        assert wait_until(
+            lambda: owner.gc_stats()["exported"] == baseline
+        )
+        assert wait_until(lambda: factory.live_count() == 0)
+
+    def test_third_party_handoff_still_dirties(self, trio):
+        owner, b, c = trio
+        owner.serve("factory", Factory())
+        c.serve("registry", Registry())
+        factory_b = b.import_object(owner.endpoints[0], "factory")
+        registry_at_c = b.import_object(c.endpoints[0], "registry")
+        sent_b = b.gc_stats()["dirty_calls_sent"]
+        counter_b = factory_b.make(4)
+        assert b.gc_stats()["dirty_calls_sent"] == sent_b  # owner-sent
+        before = c.gc_stats()["dirty_calls_sent"]
+        registry_at_c.hold(counter_b)
+        assert c.gc_stats()["dirty_calls_sent"] == before + 1
+        assert registry_at_c.poke(0) == 4
+
+    @pytest.mark.parametrize("server_version,client_version",
+                             [(7, 6), (6, 7)])
+    def test_v6_peer_keeps_the_dirty_round_trip(
+            self, request, server_version, client_version):
+        """Both dial directions: a factory result travels on the
+        connection the client dialed, a callback argument on the one
+        the server dials back."""
+        name = request.node.name
+        server = Space("server", listen=[f"inproc://v6s-{name}"],
+                       protocol_version=server_version)
+        client = Space("client", listen=[f"inproc://v6c-{name}"],
+                       protocol_version=client_version)
+        try:
+            server.serve("factory", Factory())
+            server.serve("svc", Visitor())
+            factory = client.import_object(server.endpoints[0], "factory")
+            svc = client.import_object(server.endpoints[0], "svc")
+            sent = client.gc_stats()["dirty_calls_sent"]
+            counter = factory.make(8)
+            assert counter.value() == 8
+            assert client.gc_stats()["dirty_calls_sent"] == sent + 1
+            seen = client.gc_stats()["dirty_calls_seen"]
+            assert svc.visit(Probe()) == "pong"
+            assert client.gc_stats()["dirty_calls_seen"] == seen + 1
+            for space in (server, client):
+                assert space.gc_stats()["ack_registrations_seen"] == 0
+        finally:
+            client.shutdown()
+            server.shutdown()
+
+    def test_gc_frames_applied_while_every_worker_is_blocked(self, request):
+        class Gate(NetObj):
+            def __init__(self):
+                self.release = threading.Event()
+                self.entered = threading.Semaphore(0)
+
+            def block(self) -> bool:
+                self.entered.release()
+                return self.release.wait(20)
+
+        name = request.node.name
+        owner = Space("owner", listen=[f"inproc://blocked-{name}"],
+                      dispatcher_max_workers=2)
+        client = Space("client", listen=[f"inproc://blocker-{name}"])
+        gate = Gate()
+        try:
+            owner.serve("gate", gate)
+            gate_at_client = client.import_object(owner.endpoints[0], "gate")
+            callers = [threading.Thread(target=gate_at_client.block)
+                       for _ in range(2)]
+            for caller in callers:
+                caller.start()
+            for _ in callers:
+                assert gate.entered.acquire(timeout=10)
+            connection = client._conn_for_endpoints(owner.endpoints)
+            reply = connection.call(
+                messages.Ping(connection.next_call_id()), timeout=5)
+            assert isinstance(reply, messages.PingAck)
+            seen = owner.gc_stats()["dirty_calls_seen"]
+            reply = connection.call(messages.Dirty(
+                connection.next_call_id(), gate_at_client._wirerep,
+                next(client.dgc_client._seqnos),
+            ), timeout=5)
+            assert isinstance(reply, messages.DirtyAck) and reply.ok
+            assert owner.gc_stats()["dirty_calls_seen"] == seen + 1
+            gate.release.set()
+            for caller in callers:
+                caller.join(10)
+        finally:
+            gate.release.set()
             client.shutdown()
             owner.shutdown()

@@ -164,16 +164,45 @@ class TestDaemonBatching:
         assert fake.finished == []
 
 
+class Relay(NetObj):
+    """Holds surrogates minted elsewhere and hands them on — a
+    third-party sender, whose copies still need dirty calls."""
+
+    def __init__(self):
+        self.held = []
+
+    def fetch(self):
+        return self.held
+
+
 class TestDirtyPrefetch:
     def test_multi_ref_reply_pipelines_dirty_calls(self, request):
+        name = request.node.name
+        server, client, endpoint = _pair(name)
+        relay_space = repro.Space(f"relay-{name}")
+        relay_endpoint = relay_space.add_listener(f"inproc://relay-{name}")
+        relay = Relay()
+        relay_space.serve("relay", relay)
+        with server, client, relay_space:
+            factory = relay_space.import_object(endpoint, "factory")
+            relay.held = factory.make(25)
+            relay_at_client = client.import_object(relay_endpoint, "relay")
+            before = client.stats()["gc"]["dirty_calls_sent"]
+            tokens = relay_at_client.fetch()
+            after = client.stats()["gc"]["dirty_calls_sent"]
+            # One dirty call per new third-party reference — the
+            # prefetch must not duplicate the sequential decode's
+            # registration.
+            assert after - before == 25
+            assert [t.ping() for t in tokens] == ["pong"] * 25
+            assert client.stats()["gc"]["ref_entries"] >= 25
+
+    def test_owner_sent_multi_ref_reply_needs_no_dirty_calls(self, request):
         server, client, endpoint = _pair(request.node.name)
         with server, client:
             factory = client.import_object(endpoint, "factory")
             before = client.stats()["gc"]["dirty_calls_sent"]
             tokens = factory.make(25)
-            after = client.stats()["gc"]["dirty_calls_sent"]
-            # One dirty call per new reference — the prefetch must not
-            # duplicate the sequential decode's registration.
-            assert after - before == 25
+            assert client.stats()["gc"]["dirty_calls_sent"] == before
+            assert client.stats()["gc"]["ack_registrations_sent"] >= 25
             assert [t.ping() for t in tokens] == ["pong"] * 25
-            assert client.stats()["gc"]["ref_entries"] >= 25

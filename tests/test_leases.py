@@ -41,6 +41,21 @@ class Gauge(NetObj):
         return self.n
 
 
+class SlowGauge(Gauge):
+    """A gauge whose snapshot waits on ``gate``: its grant holds the
+    lease lock for as long as that user code runs."""
+
+    def __init__(self, start: int, entered, gate):
+        super().__init__(start)
+        self.entered = entered
+        self.gate = gate
+
+    def __lease_state__(self) -> dict:
+        self.entered.set()
+        self.gate.wait(10)
+        return {"n": self.n, "reads_served": 0}
+
+
 class GaugeFactory(NetObj):
     """Mints gauges so client crashes can reclaim them (crash test)."""
 
@@ -266,7 +281,76 @@ class TestInvalidationRaces:
         assert entry.leases[holder] is second
 
 
+    def test_retire_soon_never_waits_for_a_grant(self):
+        """A CLEAN's retirement arrives while a grant pickles its
+        snapshot: it is queued, not waited for, and the grant applies
+        it as it releases the lock."""
+        from repro.core.objtable import ObjectTable
+
+        owner_id = fresh_space_id("owner")
+        holder = fresh_space_id("holder")
+        entry = ObjectTable(owner_id).export(Gauge(0))
+        entry.pdirty.add(holder)
+        leases = LeaseTable(max_ttl=5.0)
+        entered, gate = threading.Event(), threading.Event()
+
+        def snapshot(lease):
+            entered.set()
+            gate.wait(10)
+
+        def grant():
+            with leases.lock:
+                leases.grant(entry, holder, 1.0, snapshot)
+
+        granter = threading.Thread(target=grant, daemon=True)
+        granter.start()
+        assert entered.wait(10)
+        start = time.monotonic()
+        leases.retire_soon(entry, holder, lease_id=999)  # not this lease
+        leases.retire_soon(entry, holder)
+        assert time.monotonic() - start < 0.5
+        gate.set()
+        granter.join(10)
+        assert entry.leases == {}
+        assert leases.stats()["leases_released"] == 1
+        # With the lock free the retirement applies at once.
+        with leases.lock:
+            leases.grant(entry, holder, 1.0, lambda l: None)
+        leases.retire_soon(entry, holder)
+        assert entry.leases == {}
+
+
 class TestExpiryAndClean:
+    def test_clean_never_waits_for_a_slow_grant(self, request):
+        """A CLEAN is applied on the thread that decoded it, and every
+        CLEAN retires the departing client's leases.  A grant pickling
+        a slow snapshot must not hold it up."""
+        server, reader, endpoint = _pair(request.node.name)
+        other = repro.Space(f"other-{request.node.name}")
+        entered, gate = threading.Event(), threading.Event()
+        with server, reader, other:
+            server.serve("slow", SlowGauge(3, entered, gate))
+            server.serve("plain", Gauge(1))
+            slow = reader.import_object(endpoint, "slow")
+            plain = other.import_object(endpoint, "plain")
+            assert plain.incr() == 2
+            results = []
+            read = threading.Thread(
+                target=lambda: results.append(slow.get()), daemon=True)
+            read.start()
+            try:
+                assert entered.wait(10)   # the grant holds the lease lock
+                seen = server.gc_stats()["clean_calls_seen"]
+                del plain
+                gc.collect()
+                assert other.cleanup_daemon.wait_idle(3)
+                assert server.gc_stats()["clean_calls_seen"] > seen
+                assert read.is_alive()
+            finally:
+                gate.set()
+            read.join(10)
+            assert results == [3]
+
     def test_clean_retires_the_lease_early(self, request):
         server, client, endpoint = _pair(request.node.name)
         with server, client:

@@ -4,6 +4,10 @@ Birrell's presentation never says what happens when a copy
 acknowledgement is lost — the sender's transient dirty entry pins the
 object forever.  ``GcConfig.transient_ttl`` bounds that leak; these
 tests demonstrate both the leak (TTL disabled) and the recovery.
+Since protocol v7 a copy the owner sends registers through its
+acknowledgement, so expiry must not forget such a copy: it enrolls the
+receiver instead, and the TTL recovers only copies whose receiver
+registered by a dirty call (v6 and earlier peers).
 """
 
 import gc as pygc
@@ -36,16 +40,18 @@ class Token(NetObj):
         return True
 
 
-def ack_dropping_spaces(gc_config):
+def ack_dropping_spaces(gc_config, protocol_version=None):
     """All COPY_ACK frames are lost; everything else flows."""
     transport = SimTransport(NetworkModel(
         latency=0.0005, drop_probability=1.0,
         drop_tags=frozenset({protocol.COPY_ACK}), seed=9,
     ))
     server = Space("owner", listen=["sim://owner"],
-                   transports=[transport], gc=gc_config)
+                   transports=[transport], gc=gc_config,
+                   protocol_version=protocol_version)
     client = Space("client", listen=["sim://client"],
-                   transports=[transport], gc=gc_config)
+                   transports=[transport], gc=gc_config,
+                   protocol_version=protocol_version)
     return transport, server, client
 
 
@@ -74,9 +80,13 @@ class TestTransientLeak:
             transport.shutdown()
 
     def test_ttl_recovers_the_leak(self):
+        """A v6 receiver registered by its dirty call, so a lost ack
+        only leaks the pin and expiry may forget it."""
         gc_config = GcConfig(transient_ttl=0.3,
                              transient_sweep_interval=0.05)
-        transport, server, client = ack_dropping_spaces(gc_config)
+        transport, server, client = ack_dropping_spaces(
+            gc_config, protocol_version=6
+        )
         try:
             vault_impl = Vault()
             server.serve("vault", vault_impl)
@@ -89,6 +99,66 @@ class TestTransientLeak:
             assert wait_until(lambda: vault_impl.live() == 0, timeout=10)
             assert server.stats()["gc"]["transient_pins"] == 0
             assert server.transient.expired_total >= 1
+        finally:
+            client.shutdown()
+            server.shutdown()
+            transport.shutdown()
+
+    def test_expiry_never_reclaims_a_copy_registered_by_its_ack(self):
+        """v7: the receiver counts itself registered once its ack is
+        sent.  The ack is lost on a connection that stays open, the pin
+        expires, and the token must still be callable."""
+        gc_config = GcConfig(transient_ttl=0.3,
+                             transient_sweep_interval=0.05)
+        transport, server, client = ack_dropping_spaces(gc_config)
+        try:
+            vault_impl = Vault()
+            server.serve("vault", vault_impl)
+            vault = client.import_object("sim://owner", "vault")
+            token = vault.issue()
+            connection = client.connection_to(server.space_id)
+            assert client.gc_stats()["ack_registrations_sent"] >= 1
+            assert wait_until(lambda: len(server.transient) == 0)
+            time.sleep(0.2)   # several more sweeps
+            assert not connection.closed
+            assert server.gc_stats()["expiry_enrollments"] >= 1
+            assert server.dgc_owner.dirty_set(token._wirerep.index) == {
+                client.space_id
+            }
+            assert vault_impl.live() == 1
+            assert token.poke()
+        finally:
+            client.shutdown()
+            server.shutdown()
+            transport.shutdown()
+
+    def test_expiry_after_the_clean_leaks_while_the_receiver_lives(self):
+        """The price of never reclaiming early: the receiver's clean
+        reached the owner before the pin expired, so the enrollment is
+        never cleaned.  It lasts until the pinger purges the receiver
+        as dead."""
+        gc_config = GcConfig(transient_ttl=0.3,
+                             transient_sweep_interval=0.05,
+                             ping_interval=0.05, ping_timeout=0.2)
+        transport, server, client = ack_dropping_spaces(gc_config)
+        try:
+            vault_impl = Vault()
+            server.serve("vault", vault_impl)
+            vault = client.import_object("sim://owner", "vault")
+            token = vault.issue()
+            assert token.poke()
+            index = token._wirerep.index
+            del token
+            pygc.collect()
+            client.cleanup_daemon.wait_idle()
+            assert wait_until(
+                lambda: server.gc_stats()["clean_calls_seen"] >= 1)
+            assert wait_until(lambda: len(server.transient) == 0)
+            time.sleep(0.5)   # the pinger finds the receiver alive
+            assert server.dgc_owner.dirty_set(index) == {client.space_id}
+            assert vault_impl.live() == 1
+            client.shutdown()
+            assert wait_until(lambda: vault_impl.live() == 0, timeout=10)
         finally:
             client.shutdown()
             server.shutdown()
